@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -20,9 +21,9 @@
 /// containers being filled.
 namespace mflush {
 
-/// FNV-1a over a byte span — the trailing-checksum hash shared by every
-/// archive-based file format (snapshots, experiment specs, worker job and
-/// result files).
+/// FNV-1a over a byte span — the content-key hash (job, warm-store and
+/// campaign keys) and the trailing checksum of the small archive formats
+/// (experiment specs, worker job and result files, journals, wire frames).
 [[nodiscard]] inline std::uint64_t fnv1a(
     std::span<const std::uint8_t> bytes) noexcept {
   std::uint64_t h = 14695981039346656037ull;
@@ -30,6 +31,54 @@ namespace mflush {
     h ^= b;
     h *= 1099511628211ull;
   }
+  return h;
+}
+
+/// Word-at-a-time 64-bit hash: the trailing checksum of the multi-megabyte
+/// formats (snapshots, warm-store entries), where byte-at-a-time FNV-1a
+/// dominated restore time. Four independent multiply-rotate lanes consume
+/// 32 bytes per step; the tail is folded in 8-byte words (the last one
+/// zero-padded) and the length is mixed in, so truncation or appended
+/// zeros change the hash. Words are read in host byte order, like the
+/// archive itself. Not a content key: keys stay on fnv1a.
+[[nodiscard]] inline std::uint64_t word_hash(
+    std::span<const std::uint8_t> bytes) noexcept {
+  constexpr std::uint64_t k1 = 0x9E3779B185EBCA87ull;
+  constexpr std::uint64_t k2 = 0xC2B2AE3D27D4EB4Full;
+  constexpr std::uint64_t k3 = 0x165667B19E3779F9ull;
+  const auto rotl = [](std::uint64_t x, int r) {
+    return (x << r) | (x >> (64 - r));
+  };
+  const auto round = [&](std::uint64_t acc, std::uint64_t w) {
+    return rotl(acc + w * k2, 31) * k1;
+  };
+  const auto load = [](const std::uint8_t* p) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    return w;
+  };
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  std::uint64_t a0 = k1 + k2, a1 = k2, a2 = 0, a3 = 0 - k1;
+  for (; n >= 32; p += 32, n -= 32) {
+    a0 = round(a0, load(p));
+    a1 = round(a1, load(p + 8));
+    a2 = round(a2, load(p + 16));
+    a3 = round(a3, load(p + 24));
+  }
+  std::uint64_t h = rotl(a0, 1) + rotl(a1, 7) + rotl(a2, 12) + rotl(a3, 18) +
+                    bytes.size() * k3;
+  for (; n >= 8; p += 8, n -= 8) h = rotl(h ^ round(0, load(p)), 27) * k1 + k3;
+  if (n != 0) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    h = rotl(h ^ round(0, w), 27) * k1 + k3;
+  }
+  h ^= h >> 33;
+  h *= k2;
+  h ^= h >> 29;
+  h *= k3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -66,14 +115,23 @@ class ArchiveWriter {
     for (const T& v : d) put(v);
   }
 
+  /// Entries are written in ascending key order: an unordered_map's
+  /// iteration order depends on its insertion history, and a restored map
+  /// has a different history from the one that was saved, so walking it
+  /// directly would make capture(restore(b)) != b.
   template <typename K, typename V>
   void put_map(const std::unordered_map<K, V>& m) {
     static_assert(std::is_trivially_copyable_v<K> &&
                   std::is_trivially_copyable_v<V>);
+    std::vector<const std::pair<const K, V>*> sorted;
+    sorted.reserve(m.size());
+    for (const auto& e : m) sorted.push_back(&e);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
     put<std::uint64_t>(m.size());
-    for (const auto& [k, v] : m) {
-      put(k);
-      put(v);
+    for (const auto* e : sorted) {
+      put(e->first);
+      put(e->second);
     }
   }
 

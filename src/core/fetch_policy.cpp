@@ -1,18 +1,19 @@
 #include "core/fetch_policy.h"
 
-#include <algorithm>
-
 namespace mflush {
 
 void icount_order(const CoreView& view,
                   std::array<ThreadId, kMaxContexts>& order) {
-  for (std::uint32_t i = 0; i < view.num_threads; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.begin() + view.num_threads,
-                   [&view](ThreadId a, ThreadId b) {
-                     if (view.icount[a] != view.icount[b])
-                       return view.icount[a] < view.icount[b];
-                     return a < b;
-                   });
+  // Insertion sort over at most kMaxContexts ids: inserting ids in
+  // ascending order and shifting only past strictly larger counts breaks
+  // ties by id, and nothing is allocated on the per-cycle path.
+  for (std::uint32_t i = 0; i < view.num_threads; ++i) {
+    const std::uint32_t count = view.icount[i];
+    std::uint32_t j = i;
+    for (; j > 0 && view.icount[order[j - 1]] > count; --j)
+      order[j] = order[j - 1];
+    order[j] = static_cast<ThreadId>(i);
+  }
 }
 
 }  // namespace mflush

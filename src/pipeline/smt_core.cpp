@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "common/rng.h"
 
@@ -23,9 +24,10 @@ SmtCore::SmtCore(CoreId id, const SimConfig& cfg, MemoryHierarchy& mem,
             (cfg.core.rob_entries + 16 * cfg.core.fetch_width)),
       int_regs_(cfg.core.int_phys_regs),
       fp_regs_(cfg.core.fp_phys_regs),
-      iq_int_(cfg.core.int_queue_entries),
-      iq_fp_(cfg.core.fp_queue_entries),
-      iq_mem_(cfg.core.mem_queue_entries),
+      iq_int_(cfg.core.int_queue_entries, pool_.capacity()),
+      iq_fp_(cfg.core.fp_queue_entries, pool_.capacity()),
+      iq_mem_(cfg.core.mem_queue_entries, pool_.capacity()),
+      wake_(cfg.core.int_phys_regs + cfg.core.fp_phys_regs, pool_.capacity()),
       fu_(cfg.core) {
   assert(policy_ != nullptr);
   assert(!traces_.empty() && traces_.size() <= kMaxContexts);
@@ -43,7 +45,6 @@ SmtCore::SmtCore(CoreId id, const SimConfig& cfg, MemoryHierarchy& mem,
   inflight_dmiss_.assign(n, 0);
   scratch_due_.reserve(128);
   scratch_ready_.reserve(128);
-  lsq_unissued_.reserve(cfg.core.mem_queue_entries);
 }
 
 IssueQueue& SmtCore::queue_for(InstrClass cls) noexcept {
@@ -115,6 +116,47 @@ bool SmtCore::sources_ready(const MicroOp& u) const noexcept {
   return true;
 }
 
+void SmtCore::track_sources(UopHandle h, IssueQueue& q) {
+  const MicroOp& u = pool_[h];
+  wake_.begin(h);
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    if (u.src_phys[s] == kNoPhysReg) continue;
+    const bool fp = RenameMap::is_fp_reg(u.ins.src[s]);
+    if (!(fp ? fp_regs_ : int_regs_).ready(u.src_phys[s]))
+      wake_.wait(h, s, reg_id(fp, u.src_phys[s]));
+  }
+  if (wake_.pending(h) == 0) q.make_ready(h);
+}
+
+void SmtCore::write_dst(const MicroOp& u) {
+  if (u.dst_phys == kNoPhysReg) return;
+  const bool fp = RenameMap::is_fp_reg(u.ins.dst);
+  (fp ? fp_regs_ : int_regs_).set_ready(u.dst_phys);
+  wake_.wake(reg_id(fp, u.dst_phys), [this](UopHandle c) {
+    queue_for(pool_[c].ins.cls).make_ready(c);
+  });
+}
+
+void SmtCore::rebuild_ready_index() {
+  if (int_regs_.size() != cfg_.core.int_phys_regs ||
+      fp_regs_.size() != cfg_.core.fp_phys_regs)
+    throw std::runtime_error("snapshot register file size mismatch");
+  wake_.clear();
+  for (IssueQueue* q : {&iq_int_, &iq_fp_, &iq_mem_}) {
+    for (const UopHandle h : q->entries()) {
+      const MicroOp& u = pool_[h];
+      if (u.issued || u.is_store()) continue;
+      for (std::uint32_t s = 0; s < 2; ++s) {
+        const PhysRegFile& f =
+            RenameMap::is_fp_reg(u.ins.src[s]) ? fp_regs_ : int_regs_;
+        if (u.src_phys[s] != kNoPhysReg && u.src_phys[s] >= f.size())
+          throw std::runtime_error("snapshot uop names an unknown register");
+      }
+      track_sources(h, *q);
+    }
+  }
+}
+
 Cycle SmtCore::next_local_event(Cycle now) const {
   if (exec_live_ != 0) return now + 1;  // a local completion writes back soon
   for (ThreadId t = 0; t < fstate_.size(); ++t)
@@ -155,14 +197,10 @@ Cycle SmtCore::next_local_event(Cycle now) const {
     }
   }
   // Issue: every queued-but-unissued uop must be waiting on a frozen
-  // source register. The int/fp queues hold only unissued entries (entries
-  // leave at issue); issued loads are excluded from lsq_unissued_.
-  for (const IssueQueue* q : {&iq_int_, &iq_fp_}) {
-    for (const UopHandle h : q->entries())
-      if (sources_ready(pool_[h])) return now + 1;
-  }
-  for (const UopHandle h : lsq_unissued_)
-    if (sources_ready(pool_[h])) return now + 1;
+  // source register, i.e. every ready index is empty — the same index
+  // do_issue pops, so the proof and select cannot disagree.
+  for (const IssueQueue* q : {&iq_int_, &iq_fp_, &iq_mem_})
+    if (!q->ready().empty()) return now + 1;
   return horizon;
 }
 
@@ -239,10 +277,7 @@ void SmtCore::do_memory_completions(Cycle now) {
     MicroOp& u = pool_[h];
     u.completed = true;
     u.ready_at = now;
-    if (u.dst_phys != kNoPhysReg) {
-      (RenameMap::is_fp_reg(u.ins.dst) ? fp_regs_ : int_regs_)
-          .set_ready(u.dst_phys);
-    }
+    write_dst(u);
     u.mem_token = 0;
     iq_mem_.remove(h);  // frees the LSQ entry
   }
@@ -324,10 +359,7 @@ void SmtCore::do_writeback(Cycle now) {
     MicroOp& u = pool_[h];
     if (!u.in_use || u.completed || !u.issued) continue;  // squashed above
     u.completed = true;
-    if (u.dst_phys != kNoPhysReg) {
-      (RenameMap::is_fp_reg(u.ins.dst) ? fp_regs_ : int_regs_)
-          .set_ready(u.dst_phys);
-    }
+    write_dst(u);
     if (u.is_load()) iq_mem_.remove(h);  // wrong-path loads complete locally
     if (u.is_control() && inflight_ctrl_[u.tid] > 0) --inflight_ctrl_[u.tid];
     assert(exec_live_ > 0);
@@ -358,66 +390,63 @@ void SmtCore::do_writeback(Cycle now) {
 void SmtCore::do_issue(Cycle now) {
   std::uint32_t width = cfg_.core.issue_width;
 
-  // One readiness predicate, shared with next_local_event's sleep proof:
-  // the two must never diverge or a core could sleep past an issuable uop.
-  auto ready = [this](const MicroOp& u) { return sources_ready(u); };
+  // Select pops each queue's age-ordered ready index — the index
+  // next_local_event's sleep proof reads, so a core can never sleep past
+  // an issuable uop. A queue stops at its first uop whose FU class is
+  // exhausted, so the issued entries are a prefix of the index.
 
   // Integer and FP queues: entries leave at issue.
   for (IssueQueue* q : {&iq_int_, &iq_fp_}) {
-    scratch_issue_.clear();
-    for (const UopHandle h : q->entries()) {
+    std::size_t issued = 0;
+    for (const IssueQueue::Ready& r : q->ready()) {
       if (width == 0) break;
-      MicroOp& u = pool_[h];
-      if (!ready(u)) continue;
+      MicroOp& u = pool_[r.h];
       if (!fu_.try_take(u.ins.cls)) break;  // class units exhausted
       u.issued = true;
       u.stage = PipeStage::Queue;  // occupancy_stage maps issued->Execute
       u.ready_at = now + FuBudget::latency(cfg_.core, u.ins.cls);
-      exec_wheel_.schedule(u.ready_at, now, {h, pool_.generation(h)});
+      exec_wheel_.schedule(u.ready_at, now, {r.h, pool_.generation(r.h)});
       ++exec_live_;
-      scratch_issue_.push_back(h);
       assert(preissue_[u.tid] > 0);
       --preissue_[u.tid];
       ++stats_.instructions_issued;
       --width;
+      ++issued;
     }
-    for (const UopHandle h : scratch_issue_) q->remove(h);
+    q->pop_ready(issued, /*dequeue=*/true);
   }
 
   // Memory queue: loads issue to the hierarchy but keep their LSQ entry
-  // until the data returns (stores wait for commit), so selection walks
-  // the age-ordered unissued-load list rather than the whole queue.
-  bool any_load_issued = false;
-  for (const UopHandle h : lsq_unissued_) {
+  // until the data returns (stores wait for commit and never enter the
+  // ready index).
+  std::size_t issued = 0;
+  for (const IssueQueue::Ready& r : iq_mem_.ready()) {
     if (width == 0) break;
-    MicroOp& u = pool_[h];
-    if (!ready(u)) continue;
     if (!fu_.try_take(InstrClass::Load)) break;
+    MicroOp& u = pool_[r.h];
     u.issued = true;
-    any_load_issued = true;
     assert(preissue_[u.tid] > 0);
     --preissue_[u.tid];
     ++stats_.instructions_issued;
     --width;
+    ++issued;
     if (u.wrong_path) {
       // Wrong-path loads never touch the hierarchy (paper methodology):
       // they complete locally after the L1 hit latency.
       u.ready_at = now + cfg_.mem.l1_latency;
-      exec_wheel_.schedule(u.ready_at, now, {h, pool_.generation(h)});
+      exec_wheel_.schedule(u.ready_at, now, {r.h, pool_.generation(r.h)});
       ++exec_live_;
     } else {
       const std::uint64_t token =
           mem_.request_load(id_, u.tid, u.ins.eff_addr, now);
       u.mem_token = token;
-      load_by_token_.emplace(token, h);
+      load_by_token_.emplace(token, r.h);
       ++stats_.loads_issued;
       policy_->on_load_issued(u.tid, token, mem_.l2_bank_of(u.ins.eff_addr),
                               now);
     }
   }
-  if (any_load_issued)
-    std::erase_if(lsq_unissued_,
-                  [this](UopHandle h) { return pool_[h].issued; });
+  iq_mem_.pop_ready(issued, /*dequeue=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +500,7 @@ void SmtCore::do_dispatch(Cycle now) {
       u.stage = PipeStage::Queue;
       rob_[t].push_back(h);
       q.insert(h);
-      if (&q == &iq_mem_ && u.is_load()) lsq_unissued_.push_back(h);
+      if (!u.is_store()) track_sources(h, q);  // stores retire at commit
       ++preissue_[t];
       frontend_[t].pop_front();
       --width;
@@ -644,7 +673,7 @@ void SmtCore::remove_squashed_uop(UopHandle h, SquashCause cause, Cycle now) {
     if (was_in_q && !u.issued) {
       assert(preissue_[u.tid] > 0);
       --preissue_[u.tid];
-      if (u.is_load()) std::erase(lsq_unissued_, h);
+      wake_.cancel(h);
     }
     // Issued-but-incomplete uops with no hierarchy token live on the exec
     // wheel (right-path loads wait on the hierarchy instead). Their wheel
@@ -785,13 +814,12 @@ void SmtCore::save_state(ArchiveWriter& ar) const {
   ar.put_vec(inflight_dmiss_);
   int_regs_.save(ar);
   fp_regs_.save(ar);
+  pool_.save(ar);
   iq_int_.save(ar);
   iq_fp_.save(ar);
   iq_mem_.save(ar);
-  pool_.save(ar);
   exec_wheel_.save(ar);
   ar.put(exec_live_);
-  ar.put_vec(lsq_unissued_);
   ar.put_map(load_by_token_);
   branch_.save(ar);
   policy_->save_state(ar);
@@ -811,16 +839,16 @@ void SmtCore::load_state(ArchiveReader& ar) {
   ar.get_vec(inflight_dmiss_);
   int_regs_.load(ar);
   fp_regs_.load(ar);
-  iq_int_.load(ar);
-  iq_fp_.load(ar);
-  iq_mem_.load(ar);
   pool_.load(ar);
+  iq_int_.load(ar, pool_.capacity());
+  iq_fp_.load(ar, pool_.capacity());
+  iq_mem_.load(ar, pool_.capacity());
   exec_wheel_.load(ar);
   exec_live_ = ar.get<std::uint32_t>();
-  ar.get_vec(lsq_unissued_);
   ar.get_map(load_by_token_);
   branch_.load(ar);
   policy_->load_state(ar);
+  rebuild_ready_index();
 }
 
 }  // namespace mflush

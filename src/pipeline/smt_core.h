@@ -138,6 +138,12 @@ class SmtCore final : public CoreControl {
   [[nodiscard]] const IssueQueue& iq_int() const noexcept { return iq_int_; }
   [[nodiscard]] const IssueQueue& iq_fp() const noexcept { return iq_fp_; }
   [[nodiscard]] const IssueQueue& iq_mem() const noexcept { return iq_mem_; }
+  /// The readiness predicate the ready index must agree with (each
+  /// queue's ready() holds exactly its unissued non-store entries for
+  /// which this is true).
+  [[nodiscard]] bool operands_ready(UopHandle h) const noexcept {
+    return sources_ready(pool_[h]);
+  }
   [[nodiscard]] std::uint32_t free_int_regs() const noexcept {
     return int_regs_.free_count();
   }
@@ -156,10 +162,21 @@ class SmtCore final : public CoreControl {
   /// stage: drained pipeline, all contexts hard-blocked, no memory events.
   [[nodiscard]] bool all_threads_stalled() const;
 
-  /// Source-readiness predicate used by both do_issue and
-  /// next_local_event's sleep proof — a single definition so the two can
-  /// never diverge.
+  /// Source-readiness predicate: the store-retire check at commit and the
+  /// definition the ready index (IssueQueue::ready) maintains
+  /// incrementally for every other queued uop.
   [[nodiscard]] bool sources_ready(const MicroOp& u) const noexcept;
+
+  /// Ready-index bookkeeping. Dispatch records a queued int/fp uop or load
+  /// with its not-ready sources (entering the ready index at once when
+  /// there are none); a register write wakes the uops waiting on it;
+  /// load_state rebuilds both from the queues and register ready bits.
+  void track_sources(UopHandle h, IssueQueue& q);
+  void write_dst(const MicroOp& u);
+  void rebuild_ready_index();
+  [[nodiscard]] std::uint32_t reg_id(bool fp, PhysReg r) const noexcept {
+    return fp ? int_regs_.size() + r : r;
+  }
 
   void do_memory_completions(Cycle now);
   void do_commit(Cycle now);
@@ -201,6 +218,9 @@ class SmtCore final : public CoreControl {
   IssueQueue iq_int_;
   IssueQueue iq_fp_;
   IssueQueue iq_mem_;
+  // lint: transient — derived: rebuilt from the queues and register ready
+  // bits by load_state
+  WakeupTable wake_;
   FuBudget fu_;  // lint: transient — per-cycle budget, reset each tick
 
   std::vector<FrontEndQueue> frontend_;
@@ -218,15 +238,10 @@ class SmtCore final : public CoreControl {
   };
   WakeupWheel<ExecEntry> exec_wheel_{64};  ///< issued, completing at ready_at
   std::uint32_t exec_live_ = 0;  ///< wheel entries whose uop is still live
-  /// Not-yet-issued loads of the mem queue, in age order. The issue stage
-  /// selects from this instead of rescanning the whole LSQ (whose entries
-  /// are mostly issued loads awaiting data and stores awaiting commit).
-  std::vector<UopHandle> lsq_unissued_;
   std::unordered_map<std::uint64_t, UopHandle> load_by_token_;
 
   std::vector<ExecEntry> scratch_due_;     // lint: transient — scratch
   std::vector<UopHandle> scratch_ready_;   // lint: transient — scratch
-  std::vector<UopHandle> scratch_issue_;   // lint: transient — scratch
 
   Cycle now_ = 0;
   CoreStats stats_;

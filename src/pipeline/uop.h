@@ -101,6 +101,8 @@ class UopPool {
   [[nodiscard]] const MicroOp& operator[](UopHandle h) const {
     return pool_[h];
   }
+  /// Number of slots (live or free); every handle is below it.
+  [[nodiscard]] std::size_t capacity() const noexcept { return pool_.size(); }
   [[nodiscard]] std::size_t live() const noexcept {
     return pool_.size() - free_.size();
   }

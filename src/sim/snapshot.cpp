@@ -187,7 +187,7 @@ struct Header {
   PolicySpec policy;
 };
 
-Header get_header(ArchiveReader& ar) {
+void check_magic_and_version(ArchiveReader& ar) {
   if (ar.get<std::uint64_t>() != kMagic)
     throw std::runtime_error("not a mflush snapshot (bad magic)");
   const auto version = ar.get<std::uint32_t>();
@@ -196,6 +196,10 @@ Header get_header(ArchiveReader& ar) {
         "snapshot format version " + std::to_string(version) +
         " incompatible with " + std::to_string(kFormatVersion));
   }
+}
+
+Header get_header(ArchiveReader& ar) {
+  check_magic_and_version(ar);
   Header h;
   h.cfg = get_config(ar);
   h.workload.name = ar.get_string();
@@ -205,14 +209,19 @@ Header get_header(ArchiveReader& ar) {
 }
 
 /// Split off and verify the trailing checksum; returns the payload view.
+/// The magic and version are checked first: an older format may use a
+/// different checksum, and "incompatible version" is the useful error for
+/// it, not "corrupt".
 std::span<const std::uint8_t> checked_body(
     std::span<const std::uint8_t> bytes) {
+  ArchiveReader peek(bytes);
+  check_magic_and_version(peek);
   if (bytes.size() < sizeof(std::uint64_t))
     throw std::runtime_error("snapshot truncated");
   const auto body = bytes.first(bytes.size() - sizeof(std::uint64_t));
   std::uint64_t stored = 0;
   std::memcpy(&stored, bytes.data() + body.size(), sizeof(stored));
-  if (fnv1a(body) != stored)
+  if (word_hash(body) != stored)
     throw std::runtime_error("snapshot checksum mismatch (corrupt file?)");
   return body;
 }
@@ -229,7 +238,7 @@ std::vector<std::uint8_t> capture(const CmpSimulator& sim) {
   ArchiveWriter ar;
   put_header(ar, sim);
   sim.save_state(ar);
-  const std::uint64_t sum = fnv1a(ar.bytes());
+  const std::uint64_t sum = word_hash(ar.bytes());
   ar.put(sum);
   return ar.take();
 }

@@ -14,8 +14,8 @@
 /// simulation (format version, full SimConfig, workload, policy spec)
 /// followed by the complete mutable state (trace-source RNGs and rings,
 /// caches, TLBs, MSHRs, bus/L2/memory queues, pipeline pools, rename maps,
-/// branch predictor, policy state, statistics) and a trailing FNV-1a
-/// checksum. Restoring a snapshot and running N cycles is bit-identical to
+/// branch predictor, policy state, statistics) and a trailing word_hash
+/// checksum (common/archive.h). Restoring a snapshot and running N cycles is bit-identical to
 /// never having snapshotted — tested by SnapshotTest.ResumeMatchesContinuous.
 ///
 /// Versioning rules: kFormatVersion MUST be bumped whenever any save_state
@@ -29,7 +29,11 @@ namespace mflush::snapshot {
 /// v3: canonical bytes — every raw-memcpy'd record carries explicit
 /// zero-initialized padding and RunningStat is serialized field-wise, so
 /// equal warmed state yields byte-identical snapshots across processes.
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// v4: banked-DRAM memory-model state joined the stream.
+/// v5: the trailing checksum is word_hash instead of byte-wise FNV-1a;
+/// the issue stage's unissued-load list left the stream (the ready index
+/// is rebuilt from the queues and register ready bits on load).
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// Serialize the full simulator state (header + state + checksum).
 [[nodiscard]] std::vector<std::uint8_t> capture(const CmpSimulator& sim);

@@ -118,7 +118,7 @@ std::shared_ptr<const std::vector<std::uint8_t>> WarmStore::lookup(
     const std::size_t body = file.size() - sizeof(std::uint64_t);
     std::uint64_t stored = 0;
     std::memcpy(&stored, file.data() + body, sizeof(stored));
-    if (fnv1a({file.data(), body}) != stored)
+    if (word_hash({file.data(), body}) != stored)
       throw std::runtime_error("checksum mismatch");
     ArchiveReader ar({file.data(), body});
     if (ar.get<std::uint64_t>() != kEntryMagic)
@@ -172,7 +172,7 @@ void WarmStore::put(std::uint64_t key,
   ar.put(snapshot::kFormatVersion);
   ar.put(key);
   ar.put_vec(*bytes);
-  ar.put(fnv1a(ar.bytes()));
+  ar.put(word_hash(ar.bytes()));
   fsio::write_file_atomic(path, ar.bytes(), /*durable=*/true);
   ++stats_.stored;
   stats_.bytes_written += ar.bytes().size();

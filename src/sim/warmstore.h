@@ -26,7 +26,7 @@
 /// both warmstore::kFormatVersion and snapshot::kFormatVersion, so any
 /// layout change anywhere in the chain makes old entries *miss* (and
 /// re-warm) rather than misread. A corrupt entry (torn write, bit flip) is
-/// detected by its trailing FNV-1a checksum, discarded, and transparently
+/// detected by its trailing word_hash checksum, discarded, and transparently
 /// re-warmed — see ROADMAP "Warm-store key derivation & versioning".
 namespace mflush {
 
@@ -35,7 +35,8 @@ namespace warmstore {
 /// v1: entry = magic, store version, snapshot version, key echo,
 /// length-prefixed snapshot bytes, trailing FNV-1a. Bump on ANY change to
 /// this layout or to the key derivation below.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// v2: the trailing checksum is word_hash (common/archive.h).
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Content hash naming a fork job's warmed parent: FNV-1a over a domain
 /// magic ("MFLUSWKY"), kFormatVersion, snapshot::kFormatVersion, and the

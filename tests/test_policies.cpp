@@ -60,6 +60,35 @@ TEST(IcountOrder, TieBreaksByThreadId) {
   EXPECT_EQ(order[1], 1u);
 }
 
+TEST(IcountOrder, MatchesStableSortOnRandomViews) {
+  // Random views of 1..kMaxContexts threads with small counts (many ties),
+  // checked against the stable sort by count the insertion sort replaced.
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int iter = 0; iter < 5'000; ++iter) {
+    CoreView v;
+    v.num_threads = 1 + static_cast<std::uint32_t>(next() % kMaxContexts);
+    const std::uint64_t spread = iter % 2 == 0 ? 3 : 200;
+    for (std::uint32_t t = 0; t < v.num_threads; ++t)
+      v.icount[t] = static_cast<std::uint32_t>(next() % spread);
+    std::array<ThreadId, kMaxContexts> order{};
+    icount_order(v, order);
+    std::vector<ThreadId> expected(v.num_threads);
+    for (std::uint32_t t = 0; t < v.num_threads; ++t) expected[t] = t;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&v](ThreadId a, ThreadId b) {
+                       return v.icount[a] < v.icount[b];
+                     });
+    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), order.begin()))
+        << "iteration " << iter << " with " << v.num_threads << " threads";
+  }
+}
+
 TEST(IcountPolicy, NeverTriggersActions) {
   IcountPolicy p;
   MockControl ctrl;

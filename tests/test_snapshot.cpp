@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/archive.h"
 #include "core/factory.h"
 #include "sim/backend.h"
 #include "sim/cmp.h"
@@ -194,6 +196,27 @@ TEST(Snapshot, RejectsCorruptionTruncationAndMismatch) {
   CmpSimulator other_workload(*workloads::by_name("2W2"),
                               PolicySpec::icount(), /*seed=*/1);
   EXPECT_THROW(snapshot::restore(other_workload, bytes), std::runtime_error);
+}
+
+TEST(Snapshot, RejectsPreviousFormatVersionByVersion) {
+  CmpSimulator donor(*workloads::by_name("2W1"), PolicySpec::icount(),
+                     /*seed=*/1);
+  donor.run(2'000);
+  std::vector<std::uint8_t> bytes = snapshot::capture(donor);
+  // Re-stamp as format v4, whose trailing checksum was byte-wise FNV-1a.
+  const std::uint32_t v4 = 4;
+  std::memcpy(bytes.data() + sizeof(std::uint64_t), &v4, sizeof(v4));
+  bytes.resize(bytes.size() - sizeof(std::uint64_t));
+  const std::uint64_t sum = fnv1a(bytes);
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&sum);
+  bytes.insert(bytes.end(), p, p + sizeof(sum));
+  try {
+    (void)snapshot::make(bytes);
+    FAIL() << "a v4 snapshot was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 4"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

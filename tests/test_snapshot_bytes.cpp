@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "common/env.h"
+#include "core/factory.h"
 #include "sim/cmp.h"
 #include "sim/snapshot.h"
 #include "sim/workloads.h"
@@ -97,6 +98,37 @@ TEST(SnapshotBytes, ByteIdenticalAcrossProcesses) {
   // regardless of which process produced them.
   const std::vector<std::uint8_t> local = warm_and_capture();
   EXPECT_EQ(local, bytes_a);
+}
+
+/// Recapture is the identity: restoring a snapshot and capturing it again
+/// must reproduce the same bytes. Unordered containers (the core's
+/// in-flight load map, the TLBs) are written in key order, so the stream
+/// does not depend on the insertion history of the map it came from.
+TEST(SnapshotBytes, RecaptureOfMadeChipIsIdentity) {
+  const PolicySpec families[] = {
+      PolicySpec::icount(),    PolicySpec::brcount(),
+      PolicySpec::misscount(), PolicySpec::flush_spec(30),
+      PolicySpec::flush_ns(),  PolicySpec::stall(30),
+      PolicySpec::mflush(),    PolicySpec::mflush_no_preventive()};
+  for (const char* wl_name : {"2W3", "8W3"}) {
+    const Workload wl = *workloads::by_name(wl_name);
+    for (const bool dram : {false, true}) {
+      for (const PolicySpec& policy : families) {
+        SimConfig cfg = SimConfig::paper_default(wl.num_cores(), /*seed=*/1);
+        if (dram) cfg.mem.memory_model = MemModelKind::BankedDram;
+        CmpSimulator sim(cfg, wl, policy);
+        sim.run(5'000);
+        const std::vector<std::uint8_t> b = snapshot::capture(sim);
+        const std::vector<std::uint8_t> again =
+            snapshot::capture(*snapshot::make(b));
+        std::size_t i = 0;
+        while (i < b.size() && i < again.size() && b[i] == again[i]) ++i;
+        EXPECT_TRUE(i == b.size() && i == again.size())
+            << wl_name << " " << policy.label() << (dram ? " dram" : " fixed")
+            << ": recapture diverges at byte " << i << " of " << b.size();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/archive.h"
 #include "common/fsio.h"
 #include "core/factory.h"
 #include "sim/backend.h"
@@ -301,6 +302,49 @@ TEST_F(WarmStoreTest, TruncatedEntryIsAMissNotAnError) {
   EXPECT_EQ(reader.stats().corrupt_discarded, 1u);
   EXPECT_EQ(reader.stats().misses, 1u);
   EXPECT_FALSE(fs::exists(path)) << "a corrupt entry must be deleted";
+}
+
+TEST_F(WarmStoreTest, PreviousFormatEntryIsAMissAndRewarms) {
+  const ExperimentSpec spec = sampled_spec(779);
+  const std::vector<JobSpec> jobs = spec.expand();
+
+  // Plant a store-v1 entry (trailing byte-wise FNV-1a) under every parent
+  // key, as a store written before the word_hash checksum would hold.
+  WarmStore planter(dir_.string());
+  std::set<std::uint64_t> parents;
+  for (const JobSpec& j : jobs) {
+    if (!parents.insert(j.parent_key).second) continue;
+    CmpSimulator sim(j.workload, j.policy, j.seed);
+    sim.run(j.warmup);
+    ArchiveWriter ar;
+    ar.put(std::uint64_t{0x4d464c555357524dull});  // "MFLUSWRM"
+    ar.put(std::uint32_t{1});
+    ar.put(std::uint32_t{4});
+    ar.put(j.parent_key);
+    ar.put_vec(snapshot::capture(sim));
+    ar.put(fnv1a(ar.bytes()));
+    fsio::write_file_atomic(planter.path_of(j.parent_key), ar.bytes(),
+                            /*durable=*/false);
+  }
+  ASSERT_EQ(parents.size(), 2u);
+
+  WarmStore store(dir_.string());
+  RunOptions ropts;
+  ropts.warm_store = &store;
+  SerialBackend serial;
+  ResultSink sink;
+  const auto results = run_experiment(spec, serial, sink, ropts);
+  EXPECT_EQ(store.stats().corrupt_discarded, 2u);
+  EXPECT_EQ(store.stats().hits, 0u);
+  EXPECT_EQ(store.stats().stored, 2u);  // both parents re-warmed
+
+  WarmStore after(dir_.string());
+  for (const std::uint64_t key : parents)
+    EXPECT_NE(after.lookup(key), nullptr);
+  EXPECT_EQ(after.stats().corrupt_discarded, 0u);
+
+  ResultSink ref_sink;
+  expect_identical_results(results, run_experiment(spec, serial, ref_sink));
 }
 
 // ----------------------------------------------------------------- sharing
